@@ -14,10 +14,9 @@ func energyBaselineFile(name string) string {
 	return "BENCH_energy_" + name + ".json"
 }
 
-// cmdEnergy runs the metered energy sweep — every registered case
-// executes its workload with the zero-allocation metering probe on the
-// engine step path and a classic comparator priced on the same run —
-// and compares each spaa-energy/v1 section against its committed
+// cmdEnergy runs the energy sweep — every registered case executes its
+// workload, prices it from the engine's snn.Stats, and prices a classic
+// comparator on the same run — and compares each spaa-energy/v1 section against its committed
 // BENCH_energy_<case>.json baseline. Every quantity in the section is
 // an integral function of the seed and the Table 3 tariffs, so the
 // default tolerance is exact; -gate turns any drift into a nonzero

@@ -40,7 +40,7 @@
 // manifests to a serve daemon; `perf` runs the named benchmark tier and
 // gates counter-derived throughput metrics (exactly) and wall time
 // (within a band) against the committed BENCH_perf_*.json baselines;
-// `energy` meters per-spike/per-delivery/per-idle-step energy across
+// `energy` prices per-spike/per-delivery/per-idle-step energy across
 // every Table 3 platform alongside a classic comparator on the same
 // run, gated against the committed BENCH_energy_*.json baselines.
 // See docs/OBSERVABILITY.md.

@@ -60,7 +60,7 @@ func cmdSoak(args []string) error {
 			*workers, *iters, *mix, rep.Wall.Seconds())
 		fmt.Printf("runs=%d errors=%d rate=%.1f runs/s\n", rep.Runs, rep.Errors, rep.RatePerSecond())
 		fmt.Printf("totals: spikes=%d deliveries=%d steps=%d max_queue_depth=%d silent_steps_skipped=%d\n",
-			rep.Spikes, rep.Deliveries, rep.Steps, rep.MaxQueueDepth, rep.SilentStepsSkipped)
+			rep.Stats.Spikes, rep.Stats.Deliveries, rep.Stats.Steps, rep.Stats.MaxQueueDepth, rep.Stats.SilentStepsSkipped)
 		fmt.Printf("throughput: %.0f steps/s, %.0f deliveries/s aggregate\n",
 			rep.StepsPerSecond(), rep.DeliveriesPerSecond())
 		names := make([]string, 0, len(rep.PerWorkload))

@@ -1,13 +1,15 @@
 // Package energy is the third measured cost axis of the observability
 // story, after model units (telemetry) and wall-clock throughput
-// (perf): metered energy accounting on the probe fabric. The paper's
+// (perf): energy accounting priced from a run's counts. The paper's
 // abstract claims "energy consumption orders of magnitude lower than
 // conventional high-performance computing systems"; where
 // internal/platform holds the Table 3 survey data that claim rests on,
-// this package turns it into live tariffs charged while the engine
-// runs — per spike, per synaptic delivery, per idle step — plus a
-// classic-comparator op meter, so the spiking-vs-CPU joule comparison
-// is measured on the same run instead of estimated afterwards.
+// this package turns it into tariffs — per spike, per synaptic
+// delivery, per idle step, per build-phase load event — and a CPU
+// per-operation price for the classic comparator. NewReport prices a
+// finished run from its engine totals (snn.Stats), load events and
+// classic op count, so the spiking-vs-CPU joule comparison is made on
+// the same execution instead of estimated from a formula.
 //
 // All accounting is integral, in millipicojoules (mpJ = pJ × 1000), so
 // energy reports are byte-deterministic functions of the seeded
@@ -16,13 +18,12 @@
 // internal/platform: stdlib-only otherwise, imported by telemetry
 // (manifest section), metrics (Prometheus families), harness (energy
 // sweep + soak), and faults (energy-under-faults columns), never the
-// other way around. Meter satisfies snn.StepProbe structurally — the
-// engine does not import energy.
+// other way around. Callers pass counts as scalars, so it does not
+// import the engine either.
 package energy
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/platform"
 )
@@ -114,131 +115,6 @@ func ReferenceTariff() Tariff {
 func CPUOpMilliPJ() int64 {
 	return int64(math.Round(platform.CPUEnergyPerOpJoules() * 1e15))
 }
-
-// Meter is the live energy instrument: a zero-allocation step probe
-// (satisfying snn.StepProbe structurally, composable with other sinks
-// via telemetry.Tee) that charges the configured tariff as the engine
-// steps. The tariff fields are read-only after NewMeter; the running
-// totals are plain atomics, so the engine pays a handful of atomic adds
-// per non-silent step and zero allocations (guarded by
-// TestMeterZeroAlloc and snn's BenchmarkEngineEnergyMeterOverhead). A
-// nil *Meter is a no-op on every method, matching the probe fabric's
-// nil-receiver contract.
-//
-// The engine's silence optimization means OnStep never observes idle
-// steps; fold snn.Stats.SilentStepsSkipped through AddIdleSteps after
-// the run to charge the idle tariff.
-type Meter struct {
-	tariff Tariff // read-only after NewMeter
-
-	spikes, deliveries, steps atomic.Int64
-	idleSteps                 atomic.Int64
-	loadEvents                atomic.Int64
-	milliPJ                   atomic.Int64
-}
-
-// NewMeter returns a meter charging tariff t.
-func NewMeter(t Tariff) *Meter {
-	return &Meter{tariff: t}
-}
-
-// OnStep implements snn.StepProbe (structurally): one call per
-// non-silent simulated step, charging that step's spikes and deliveries
-// at the tariff.
-//
-//lint:hotpath
-func (m *Meter) OnStep(t int64, spikes, deliveries, active, queueDepth int) {
-	if m == nil {
-		return
-	}
-	m.steps.Add(1)
-	m.spikes.Add(int64(spikes))
-	m.deliveries.Add(int64(deliveries))
-	m.milliPJ.Add(int64(spikes)*m.tariff.SpikeMilliPJ + int64(deliveries)*m.tariff.DeliveryMilliPJ)
-}
-
-// AddIdleSteps charges n idle (silence-skipped) steps at the idle
-// tariff. Call it once per run with snn.Stats.SilentStepsSkipped —
-// the step loop never sees those steps, so they cannot be charged live.
-func (m *Meter) AddIdleSteps(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.idleSteps.Add(n)
-	m.milliPJ.Add(n * m.tariff.IdleStepMilliPJ)
-}
-
-// AddLoadEvents charges n build-phase synaptic-programming events at the
-// delivery tariff: the O(m) (SSSP) or O(m log k) (compiled TTL) circuit
-// loads the engine performs before the wavefront starts. They are a
-// distinct phase of the per-phase attribution, not wavefront deliveries.
-func (m *Meter) AddLoadEvents(n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.loadEvents.Add(n)
-	m.milliPJ.Add(n * m.tariff.DeliveryMilliPJ)
-}
-
-// Tariff returns the meter's tariff.
-func (m *Meter) Tariff() Tariff { return m.tariff }
-
-// Spikes returns the metered neuron-firing count.
-func (m *Meter) Spikes() int64 { return m.spikes.Load() }
-
-// Deliveries returns the metered synaptic-delivery count.
-func (m *Meter) Deliveries() int64 { return m.deliveries.Load() }
-
-// Steps returns the metered non-silent step count.
-func (m *Meter) Steps() int64 { return m.steps.Load() }
-
-// IdleSteps returns the idle steps folded in via AddIdleSteps.
-func (m *Meter) IdleSteps() int64 { return m.idleSteps.Load() }
-
-// LoadEvents returns the build-phase events folded in via AddLoadEvents.
-func (m *Meter) LoadEvents() int64 { return m.loadEvents.Load() }
-
-// MilliPJ returns the accumulated energy in millipicojoules.
-func (m *Meter) MilliPJ() int64 { return m.milliPJ.Load() }
-
-// Reset zeroes the running totals (between runs sharing one instance).
-func (m *Meter) Reset() {
-	m.spikes.Store(0)
-	m.deliveries.Store(0)
-	m.steps.Store(0)
-	m.idleSteps.Store(0)
-	m.loadEvents.Store(0)
-	m.milliPJ.Store(0)
-}
-
-// OpMeter prices the classic comparator running alongside a metered
-// spiking run: every primitive operation (heap comparison, relaxation)
-// charged at the Table 3 CPU row's per-cycle energy, so both sides of
-// the advantage ratio come from the same execution. Nil-receiver safe
-// like every probe-fabric instrument.
-type OpMeter struct {
-	perOpMilliPJ int64 // read-only after NewOpMeter
-	ops          atomic.Int64
-}
-
-// NewOpMeter returns an op meter charging the CPU tariff.
-func NewOpMeter() *OpMeter {
-	return &OpMeter{perOpMilliPJ: CPUOpMilliPJ()}
-}
-
-// AddOps records n conventional primitive operations.
-func (o *OpMeter) AddOps(n int64) {
-	if o == nil || n <= 0 {
-		return
-	}
-	o.ops.Add(n)
-}
-
-// Ops returns the recorded operation count.
-func (o *OpMeter) Ops() int64 { return o.ops.Load() }
-
-// MilliPJ returns the conventional side's energy in millipicojoules.
-func (o *OpMeter) MilliPJ() int64 { return o.ops.Load() * o.perOpMilliPJ }
 
 // JoulesFromMilliPJ converts an integral mpJ total to joules (for
 // display only — all comparison and gating stays integral).

@@ -53,74 +53,15 @@ func TestCPUOpMilliPJAgreesWithEstimator(t *testing.T) {
 	}
 }
 
-func TestMeterCharges(t *testing.T) {
-	m := NewMeter(Tariff{Platform: "x", SpikeMilliPJ: 5, DeliveryMilliPJ: 7, IdleStepMilliPJ: 2})
-	m.OnStep(0, 3, 10, 4, 9)
-	m.OnStep(1, 1, 2, 1, 3)
-	m.AddIdleSteps(11)
-	m.AddLoadEvents(6)
-	if got, want := m.Spikes(), int64(4); got != want {
-		t.Errorf("Spikes = %d, want %d", got, want)
+// TestTariffCharge pins the linear price of a run's counted events:
+// spikes, deliveries and idle steps each at their own tariff.
+func TestTariffCharge(t *testing.T) {
+	tr := Tariff{Platform: "x", SpikeMilliPJ: 5, DeliveryMilliPJ: 7, IdleStepMilliPJ: 2}
+	if got, want := tr.Charge(4, 12, 11), int64(4*5+12*7+11*2); got != want {
+		t.Errorf("Charge = %d, want %d", got, want)
 	}
-	if got, want := m.Deliveries(), int64(12); got != want {
-		t.Errorf("Deliveries = %d, want %d", got, want)
-	}
-	if got, want := m.Steps(), int64(2); got != want {
-		t.Errorf("Steps = %d, want %d", got, want)
-	}
-	if got, want := m.IdleSteps(), int64(11); got != want {
-		t.Errorf("IdleSteps = %d, want %d", got, want)
-	}
-	if got, want := m.LoadEvents(), int64(6); got != want {
-		t.Errorf("LoadEvents = %d, want %d", got, want)
-	}
-	wantPJ := int64(4*5 + 12*7 + 11*2 + 6*7)
-	if got := m.MilliPJ(); got != wantPJ {
-		t.Errorf("MilliPJ = %d, want %d", got, wantPJ)
-	}
-	charge := m.Tariff().Charge(m.Spikes(), m.Deliveries(), m.IdleSteps()) +
-		m.LoadEvents()*m.Tariff().DeliveryMilliPJ
-	if charge != wantPJ {
-		t.Errorf("Charge+load = %d, want %d (must agree with the live total)", charge, wantPJ)
-	}
-	m.Reset()
-	if m.MilliPJ() != 0 || m.Spikes() != 0 || m.IdleSteps() != 0 || m.LoadEvents() != 0 {
-		t.Errorf("Reset left residue: %+v", m)
-	}
-}
-
-func TestNilReceiversNoOp(t *testing.T) {
-	var m *Meter
-	m.OnStep(0, 1, 1, 1, 1) // must not panic
-	m.AddIdleSteps(5)
-	m.AddLoadEvents(5)
-	var o *OpMeter
-	o.AddOps(3)
-}
-
-// TestMeterZeroAlloc pins the hot-path contract directly: OnStep and
-// AddIdleSteps allocate nothing. The engine-level proof lives in snn's
-// BenchmarkEngineEnergyMeterOverhead / TestEngineEnergyMeterZeroAlloc.
-func TestMeterZeroAlloc(t *testing.T) {
-	m := NewMeter(ReferenceTariff())
-	allocs := testing.AllocsPerRun(100, func() {
-		m.OnStep(7, 3, 12, 5, 9)
-		m.AddIdleSteps(2)
-	})
-	if allocs != 0 {
-		t.Fatalf("Meter hot path allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestOpMeter(t *testing.T) {
-	o := NewOpMeter()
-	o.AddOps(10)
-	o.AddOps(-3) // ignored
-	if got, want := o.Ops(), int64(10); got != want {
-		t.Errorf("Ops = %d, want %d", got, want)
-	}
-	if got, want := o.MilliPJ(), 10*CPUOpMilliPJ(); got != want {
-		t.Errorf("MilliPJ = %d, want %d", got, want)
+	if tr.Unpublished() || !(Tariff{Platform: "y"}).Unpublished() {
+		t.Error("Unpublished must hold exactly for an all-zero tariff")
 	}
 }
 
@@ -167,16 +108,24 @@ func TestReportPlatformsAndAdvantage(t *testing.T) {
 	}
 }
 
-func TestReportFromMeters(t *testing.T) {
-	m := NewMeter(ReferenceTariff())
-	m.OnStep(0, 2, 30, 3, 4)
-	m.AddIdleSteps(7)
-	m.AddLoadEvents(40)
-	o := NewOpMeter()
-	o.AddOps(100)
-	r := ReportFromMeters(m, o, Tariffs())
-	if r.Spikes != 2 || r.Deliveries != 30 || r.IdleSteps != 7 || r.Steps != 1 ||
-		r.LoadEvents != 40 || r.ClassicOps != 100 {
+// TestNilReceiversNoOp: a manifest without an energy section hands its
+// readers a nil *Report, which every lookup must treat as empty.
+func TestNilReceiversNoOp(t *testing.T) {
+	var r *Report
+	if r.PlatformRow(ReferencePlatform) != nil || r.PhaseRow(PhaseBuild) != nil {
+		t.Error("nil report returned a row")
+	}
+	if r.ReferenceMilliPJ() != 0 || r.BestAdvantageMilli() != 0 {
+		t.Error("nil report priced a run")
+	}
+}
+
+// TestReportCarriesTotals: the report echoes the run totals it was
+// priced from, each in its own field.
+func TestReportCarriesTotals(t *testing.T) {
+	r := NewReport(2, 30, 40, 7, 1, 100, Tariffs())
+	if r.Spikes != 2 || r.Deliveries != 30 || r.LoadEvents != 40 || r.IdleSteps != 7 ||
+		r.Steps != 1 || r.ClassicOps != 100 {
 		t.Fatalf("totals not carried over: %+v", r)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/classic"
 	"repro/internal/energy"
 	"repro/internal/graph"
+	"repro/internal/snn"
 )
 
 // The Section 3 SSSP workload of BENCH_snn_sssp.json.
@@ -110,6 +111,36 @@ func TestNMRSingleReplicaMatchesRunSSSP(t *testing.T) {
 	if len(nmr.Disagreeing) != 0 {
 		t.Fatalf("single replica disagrees with itself: %v", nmr.Disagreeing)
 	}
+	if nmr.Stats != single.Res.Stats {
+		t.Fatalf("NMR k=1 stats %+v, single run %+v", nmr.Stats, single.Res.Stats)
+	}
+
+	// With k=3 the stats total the three replicas' own runs.
+	var runs []snn.Stats
+	for r := 0; r < 3; r++ {
+		m := model
+		if r > 0 {
+			m = model.WithSeed(DeriveSeed(model.Seed, "nmr-replica", r))
+		}
+		runs = append(runs, RunSSSP(g, 0, -1, m).Res.Stats)
+	}
+	if got, want := NMRSSSP(g, 0, model, 3).Stats, statsTotal(runs); got != want {
+		t.Fatalf("NMR k=3 stats %+v, replica total %+v", got, want)
+	}
+}
+
+// statsTotal sums per-run engine stats the way a multi-run result must:
+// counts add up, the queue high-water mark is the largest of the runs.
+func statsTotal(runs []snn.Stats) snn.Stats {
+	var tot snn.Stats
+	for _, st := range runs {
+		tot.Spikes += st.Spikes
+		tot.Deliveries += st.Deliveries
+		tot.Steps += st.Steps
+		tot.SilentStepsSkipped += st.SilentStepsSkipped
+		tot.MaxQueueDepth = max(tot.MaxQueueDepth, st.MaxQueueDepth)
+	}
+	return tot
 }
 
 // The PR's acceptance criterion: at spike-drop p=0.01 on the Section 3
@@ -154,12 +185,25 @@ func TestSelfCheckDegradesOnPinnedSilentSource(t *testing.T) {
 	// fails, the budget exhausts, and the result must be the classic
 	// fallback with the degraded flag — never a silent wrong answer.
 	g := smallGraph()
-	sc := SSSPWithSelfCheck(g, 0, Model{PinnedSilent: []int{0}, Seed: 1}, 3)
+	model := Model{PinnedSilent: []int{0}, Seed: 1}
+	sc := SSSPWithSelfCheck(g, 0, model, 3)
 	if !sc.Degraded {
 		t.Fatalf("dead source not degraded: %+v", sc)
 	}
 	if sc.Attempts != 4 || sc.MismatchCaught != 4 {
 		t.Fatalf("retry accounting off: attempts=%d caught=%d", sc.Attempts, sc.MismatchCaught)
+	}
+	// The stats total every attempt, retries included.
+	var runs []snn.Stats
+	for a := 0; a < sc.Attempts; a++ {
+		m := model
+		if a > 0 {
+			m = model.WithSeed(DeriveSeed(model.Seed, "selfcheck-retry", a))
+		}
+		runs = append(runs, RunSSSP(g, 0, -1, m).Res.Stats)
+	}
+	if want := statsTotal(runs); sc.Stats != want || want.Steps == 0 {
+		t.Fatalf("selfcheck stats %+v, attempt total %+v", sc.Stats, want)
 	}
 	if sc.BackoffUnits != 1+2+4 {
 		t.Fatalf("exponential backoff charged %d units, want 7", sc.BackoffUnits)

@@ -20,25 +20,14 @@ type RunResult struct {
 // model skips injector attachment entirely, reproducing the pristine
 // engine path (and its stats) byte-for-byte; a faulted model runs with
 // the horizon extended by Model.HorizonSlack so delay jitter cannot
-// masquerade as unreachability. Optional probes are passed through to
-// the engine (snn.StepProbe per-step telemetry — the per-query trace
-// layer's engine sub-event hook).
-func RunSSSP(g *graph.Graph, src, dst int, model Model, probe ...snn.StepProbe) RunResult {
-	return RunSSSPBudget(g, src, dst, model, 0, probe...)
-}
-
-// RunSSSPBudget is RunSSSP under a per-query deadline: the simulation is
-// cut off after budget steps (core.SSSPBudgeted), so a query slowed past
-// its budget — by faults or by the workload itself — comes back with
-// Res.TimedOut set instead of running to the analytic horizon. budget <= 0
-// reproduces RunSSSP exactly.
-func RunSSSPBudget(g *graph.Graph, src, dst int, model Model, budget int64, probe ...snn.StepProbe) RunResult {
+// masquerade as unreachability.
+func RunSSSP(g *graph.Graph, src, dst int, model Model) RunResult {
 	if model.Zero() {
-		res, err := core.SSSPBudgeted(g, src, dst, nil, 0, budget, probe...)
+		res, err := core.SSSPInjected(g, src, dst, nil, 0)
 		return RunResult{Res: res, Err: err}
 	}
 	inj := New(model)
-	res, err := core.SSSPBudgeted(g, src, dst, inj, model.HorizonSlack(g.N()), budget, probe...)
+	res, err := core.SSSPInjected(g, src, dst, inj, model.HorizonSlack(g.N()))
 	return RunResult{Res: res, Counters: inj.Counters, Err: err}
 }
 
@@ -62,20 +51,17 @@ type NMRResult struct {
 	TimedOut int
 	// Counters sums the faults landed across all replicas. SpikeTime is
 	// the slowest replica's (replicas run concurrently on real hardware);
-	// Spikes and Deliveries are totals (energy is additive).
-	Counters   Counters
-	SpikeTime  int64
-	Spikes     int64
-	Deliveries int64
+	// Stats totals the replicas' engine stats (energy is additive).
+	Counters  Counters
+	SpikeTime int64
+	Stats     snn.Stats
 }
 
 // NMRSSSP runs K replicas of the spiking SSSP under model, each with an
 // independently derived seed (stream "nmr-replica"), and majority-votes
 // the per-vertex distances. Replica 0 uses the model's own seed, so
-// NMRSSSP(K=1) reproduces RunSSSP exactly. Optional probes observe
-// every replica's steps (totals accumulate across replicas, matching
-// the additive energy accounting).
-func NMRSSSP(g *graph.Graph, src int, model Model, k int, probe ...snn.StepProbe) *NMRResult {
+// NMRSSSP(K=1) reproduces RunSSSP exactly.
+func NMRSSSP(g *graph.Graph, src int, model Model, k int) *NMRResult {
 	if k < 1 {
 		panic("faults: NMR with k < 1 replicas")
 	}
@@ -87,7 +73,7 @@ func NMRSSSP(g *graph.Graph, src int, model Model, k int, probe ...snn.StepProbe
 		if r > 0 {
 			seed = DeriveSeed(model.Seed, "nmr-replica", r)
 		}
-		run := RunSSSP(g, src, -1, model.WithSeed(seed), probe...)
+		run := RunSSSP(g, src, -1, model.WithSeed(seed))
 		dists[r] = run.Res.Dist
 		if run.Res.TimedOut {
 			res.TimedOut++
@@ -96,8 +82,7 @@ func NMRSSSP(g *graph.Graph, src int, model Model, k int, probe ...snn.StepProbe
 		if run.Res.SpikeTime > res.SpikeTime {
 			res.SpikeTime = run.Res.SpikeTime
 		}
-		res.Spikes += run.Res.Stats.Spikes
-		res.Deliveries += run.Res.Stats.Deliveries
+		res.Stats.Add(run.Res.Stats)
 	}
 
 	// Per-vertex vote: strict majority wins; otherwise plurality, with
@@ -156,11 +141,11 @@ type SelfCheckResult struct {
 	// neuromorphic advantage the run was meant to demonstrate.
 	Degraded bool
 	// Counters sums the faults landed across all attempts; SpikeTime is
-	// the accepted attempt's (0 under degraded mode).
-	Counters   Counters
-	SpikeTime  int64
-	Spikes     int64
-	Deliveries int64
+	// the accepted attempt's (0 under degraded mode); Stats totals every
+	// attempt's engine stats.
+	Counters  Counters
+	SpikeTime int64
+	Stats     snn.Stats
 }
 
 // SSSPWithSelfCheck runs the spiking SSSP under model and validates the
@@ -170,8 +155,7 @@ type SelfCheckResult struct {
 // exponential backoff, up to maxRetries; if no attempt verifies, it
 // returns the reference distances with Degraded set — the caller gets a
 // correct answer or an explicit degraded flag, never a silent wrong one.
-// Optional probes observe every attempt's engine steps.
-func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int, probe ...snn.StepProbe) *SelfCheckResult {
+func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int) *SelfCheckResult {
 	if maxRetries < 0 {
 		panic("faults: negative retry budget")
 	}
@@ -183,11 +167,10 @@ func SSSPWithSelfCheck(g *graph.Graph, src int, model Model, maxRetries int, pro
 			m = model.WithSeed(DeriveSeed(model.Seed, "selfcheck-retry", attempt))
 			out.BackoffUnits += int64(1) << (attempt - 1)
 		}
-		run := RunSSSP(g, src, -1, m, probe...)
+		run := RunSSSP(g, src, -1, m)
 		out.Attempts++
 		out.Counters.Add(run.Counters)
-		out.Spikes += run.Res.Stats.Spikes
-		out.Deliveries += run.Res.Stats.Deliveries
+		out.Stats.Add(run.Res.Stats)
 		if run.Res.TimedOut {
 			out.TimedOutRuns++
 			continue

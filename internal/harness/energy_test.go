@@ -40,7 +40,7 @@ func TestRunEnergyCasesDeterministic(t *testing.T) {
 				t.Fatalf("manifest carries no energy section: %+v", man)
 			}
 			if r.Spikes == 0 || r.Deliveries == 0 || r.Steps == 0 {
-				t.Errorf("meter saw no engine events: %+v", r)
+				t.Errorf("report priced no engine events: %+v", r)
 			}
 			if r.ClassicOps == 0 || r.ClassicMilliPJ == 0 {
 				t.Errorf("classic comparator not counted: %+v", r)

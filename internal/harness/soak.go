@@ -68,12 +68,10 @@ type SoakReport struct {
 	// per-run Budget (core.ErrTimedOut): served degraded, not failed —
 	// they still complete, submit their manifest, and count in Runs.
 	TimedOut int64
-	// Spikes, Deliveries, Steps, MaxQueueDepth and SilentStepsSkipped
-	// sum (respectively high-water) the simulator stats of every run
-	// that carried an SNN half — by construction equal to the sum over
-	// the emitted manifests' stats.
-	Spikes, Deliveries, Steps         int64
-	MaxQueueDepth, SilentStepsSkipped int64
+	// Stats totals (snn.Stats.Add) the engine stats of every run that
+	// carried an SNN half — by construction equal to the sum over the
+	// emitted manifests' stats.
+	Stats snn.Stats
 	// SpikingMilliPJ and ClassicMilliPJ total the spaa-energy/v1
 	// sections of every metered run (spiking side priced on the
 	// reference platform); EnergyRuns counts the runs that carried one.
@@ -101,7 +99,7 @@ func (r *SoakReport) StepsPerSecond() float64 {
 	if r.Wall <= 0 {
 		return 0
 	}
-	return float64(r.Steps) / r.Wall.Seconds()
+	return float64(r.Stats.Steps) / r.Wall.Seconds()
 }
 
 // DeliveriesPerSecond returns aggregate synaptic deliveries per
@@ -110,7 +108,7 @@ func (r *SoakReport) DeliveriesPerSecond() float64 {
 	if r.Wall <= 0 {
 		return 0
 	}
-	return float64(r.Deliveries) / r.Wall.Seconds()
+	return float64(r.Stats.Deliveries) / r.Wall.Seconds()
 }
 
 // SpikingJoulesPerQuery returns the average metered spiking energy per
@@ -202,13 +200,7 @@ func Soak(cfg SoakConfig) (*SoakReport, error) {
 				rep.Runs++
 				rep.PerWorkload[workload]++
 				if stats != nil {
-					rep.Spikes += stats.Spikes
-					rep.Deliveries += stats.Deliveries
-					rep.Steps += stats.Steps
-					rep.SilentStepsSkipped += stats.SilentStepsSkipped
-					if stats.MaxQueueDepth > rep.MaxQueueDepth {
-						rep.MaxQueueDepth = stats.MaxQueueDepth
-					}
+					rep.Stats.Add(*stats)
 				}
 				if man.Energy != nil {
 					rep.EnergyRuns++
@@ -240,8 +232,8 @@ func soakRunnable(name string) bool {
 // sink, manifest submitted. A perf.Tracker brackets the run, so every
 // soak manifest carries a spaa-perf/v1 section (build / run / report
 // phases, throughput rates, alloc deltas — all zeroed under
-// Deterministic); the engine workloads (sssp, fleet) additionally meter
-// energy on the same run, so their manifests carry a spaa-energy/v1
+// Deterministic); the engine workloads (sssp, fleet) are also priced
+// from their snn.Stats, so their manifests carry a spaa-energy/v1
 // section with a Dijkstra comparator priced on the same instance.
 func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifest, *snn.Stats, error) {
 	rec := telemetry.NewRecorder()
@@ -249,9 +241,7 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 	man := telemetry.NewManifest("spaabench", workload)
 	man.SetConfig("soak_seed", runSeed)
 	tracker := perf.NewTracker()
-	meter := energy.NewMeter(energy.ReferenceTariff())
-	engineProbe := &energyStepSink{m: meter, sink: sink}
-	ops := energy.NewOpMeter()
+	var classicOps int64
 	//lint:wallclock per-run wall time feeds the manifest's wall_ms field by design
 	start := time.Now()
 
@@ -263,13 +253,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.RandomGnm(96, 384, graph.Uniform(8), runSeed, true)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "random"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, engineProbe)
+		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
 		if err != nil {
 			return nil, nil, err
 		}
 		timedOut = r.TimedOut
 		stats = &r.Stats
-		ops.AddOps(classic.Dijkstra(g, 0).Ops)
+		classicOps = classic.Dijkstra(g, 0).Ops
 		rec.Add("neurons", int64(r.Neurons))
 	case "congest":
 		g := graph.RandomGnm(40, 160, graph.Uniform(8), runSeed, true)
@@ -281,13 +271,13 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		g := graph.Grid(8, 8, graph.Unit, runSeed)
 		man.Graph = &telemetry.GraphParams{N: g.N(), M: g.M(), MaxLen: g.MaxLen(), Seed: runSeed, Kind: "grid"}
 		tracker.Phase("run")
-		r, err := soakEngineSSSP(g, runSeed, cfg, engineProbe)
+		r, err := soakEngineSSSP(g, runSeed, cfg, sink)
 		if err != nil {
 			return nil, nil, err
 		}
 		timedOut = r.TimedOut
 		stats = &r.Stats
-		ops.AddOps(classic.Dijkstra(g, 0).Ops)
+		classicOps = classic.Dijkstra(g, 0).Ops
 		asn := fleet.PartitionBFS(g, 16)
 		fleet.AnalyzeSSSP(g, asn, r.Dist, sink)
 		rec.Add("chips", int64(asn.Chips))
@@ -309,10 +299,10 @@ func soakRun(workload string, runSeed int64, cfg SoakConfig) (*telemetry.Manifes
 		if o, ok := cfg.Probes.(interface{ ObserveRunStats(int64, int64) }); ok {
 			o.ObserveRunStats(stats.MaxQueueDepth, stats.SilentStepsSkipped)
 		}
-		// Energy is metered only on the engine workloads (the meter saw
-		// their steps); fold the silence-skipped steps and price the run.
-		meter.AddIdleSteps(stats.SilentStepsSkipped)
-		man.Energy = energy.ReportFromMeters(meter, ops, energy.Tariffs())
+		// Only the engine workloads are priced; the soak charges them no
+		// build-phase load events.
+		man.Energy = energy.NewReport(stats.Spikes, stats.Deliveries, 0, stats.SilentStepsSkipped,
+			stats.Steps, classicOps, energy.Tariffs())
 		if o, ok := cfg.Probes.(interface{ ObserveEnergy(*energy.Report) }); ok {
 			o.ObserveEnergy(man.Energy)
 		}

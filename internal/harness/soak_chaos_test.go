@@ -100,7 +100,7 @@ func TestSoakFaultedRunsDifferFromPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Deliveries == faulted.Deliveries {
-		t.Fatalf("faulted campaign deliveries == pristine (%d): injector not engaged", base.Deliveries)
+	if base.Stats.Deliveries == faulted.Stats.Deliveries {
+		t.Fatalf("faulted campaign deliveries == pristine (%d): injector not engaged", base.Stats.Deliveries)
 	}
 }

@@ -40,7 +40,7 @@ func TestSoakRunsEveryWorkload(t *testing.T) {
 			t.Errorf("workload %s never ran: %v", w, rep.PerWorkload)
 		}
 	}
-	if rep.Spikes == 0 || rep.Deliveries == 0 || rep.Steps == 0 {
+	if rep.Stats.Spikes == 0 || rep.Stats.Deliveries == 0 || rep.Stats.Steps == 0 {
 		t.Errorf("SNN totals empty: %+v", rep)
 	}
 	if rep.RatePerSecond() <= 0 {
@@ -150,9 +150,9 @@ func TestSoakProbeSeesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := probe.spikes.Load(); got != rep.Spikes || got != manifestSpikes {
+	if got := probe.spikes.Load(); got != rep.Stats.Spikes || got != manifestSpikes {
 		t.Errorf("probe saw %d spikes, report %d, manifests %d — must all agree",
-			got, rep.Spikes, manifestSpikes)
+			got, rep.Stats.Spikes, manifestSpikes)
 	}
 	if probe.distanceOps.Load() == 0 {
 		t.Error("probe saw no DISTANCE ops; table1 workload not teed")

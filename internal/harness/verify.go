@@ -11,7 +11,6 @@ import (
 	"repro/internal/distance"
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/snn"
 )
 
 // Check is one acceptance criterion of the reproduction.
@@ -149,10 +148,9 @@ func RenderChecks(checks []Check) (string, bool) {
 
 // mustSSSP runs the fault-free spiking SSSP, which cannot time out; the
 // harness's sweep and report paths use it where an error return would
-// only obscure the table-building code. Optional probes pass through to
-// the simulator (the energy sweep's metering hook).
-func mustSSSP(g *graph.Graph, src, dst int, probe ...snn.StepProbe) *core.SSSPResult {
-	r, err := core.SSSP(g, src, dst, probe...)
+// only obscure the table-building code.
+func mustSSSP(g *graph.Graph, src, dst int) *core.SSSPResult {
+	r, err := core.SSSP(g, src, dst)
 	if err != nil {
 		panic(err)
 	}

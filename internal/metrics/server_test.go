@@ -280,9 +280,9 @@ func TestSoakServeAcceptance(t *testing.T) {
 	if wantSpikes == 0 {
 		t.Fatal("soak produced no spikes; workload mix broken")
 	}
-	if rep.Spikes != wantSpikes || rep.Deliveries != wantDeliveries || rep.Steps != wantSteps {
+	if rep.Stats.Spikes != wantSpikes || rep.Stats.Deliveries != wantDeliveries || rep.Stats.Steps != wantSteps {
 		t.Fatalf("report totals (%d, %d, %d) != manifest sums (%d, %d, %d)",
-			rep.Spikes, rep.Deliveries, rep.Steps, wantSpikes, wantDeliveries, wantSteps)
+			rep.Stats.Spikes, rep.Stats.Deliveries, rep.Stats.Steps, wantSpikes, wantDeliveries, wantSteps)
 	}
 
 	// The daemon's scrape and run index must agree with both.

@@ -7,47 +7,6 @@ import (
 	"time"
 )
 
-func TestCountersAccumulate(t *testing.T) {
-	c := &Counters{}
-	c.OnStep(0, 3, 10, 4, 7)
-	c.OnStep(1, 1, 5, 2, 3)
-	c.OnStep(2, 0, 0, 0, 9)
-	if got := c.Steps(); got != 3 {
-		t.Errorf("Steps = %d, want 3", got)
-	}
-	if got := c.Spikes(); got != 4 {
-		t.Errorf("Spikes = %d, want 4", got)
-	}
-	if got := c.Deliveries(); got != 15 {
-		t.Errorf("Deliveries = %d, want 15", got)
-	}
-	if got := c.Active(); got != 6 {
-		t.Errorf("Active = %d, want 6", got)
-	}
-	if got := c.MaxQueueDepth(); got != 9 {
-		t.Errorf("MaxQueueDepth = %d, want 9 (high water, not last)", got)
-	}
-	c.Reset()
-	if c.Steps() != 0 || c.MaxQueueDepth() != 0 {
-		t.Errorf("Reset left state: steps=%d maxQueue=%d", c.Steps(), c.MaxQueueDepth())
-	}
-}
-
-func TestCountersNilReceiver(t *testing.T) {
-	var c *Counters
-	c.OnStep(0, 1, 2, 3, 4) // must not panic
-}
-
-// TestCountersZeroAlloc pins the hot-path contract: one OnStep call
-// allocates nothing (the same bar metrics.Bridge and the engine's own
-// step loop are held to).
-func TestCountersZeroAlloc(t *testing.T) {
-	c := &Counters{}
-	if n := testing.AllocsPerRun(100, func() { c.OnStep(1, 2, 3, 4, 5) }); n != 0 {
-		t.Errorf("Counters.OnStep allocates %.1f per call, want 0", n)
-	}
-}
-
 func TestTrackerPhasesAndTotals(t *testing.T) {
 	tr := NewTracker()
 	tr.Phase("build")

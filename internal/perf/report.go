@@ -25,7 +25,7 @@ type PhaseReport struct {
 type Report struct {
 	Schema string `json:"schema"`
 
-	// Counter-derived totals (from Counters / snn.Stats).
+	// Counter-derived totals (from the run's snn.Stats).
 	Steps         int64 `json:"steps"`
 	Spikes        int64 `json:"spikes"`
 	Deliveries    int64 `json:"deliveries"`

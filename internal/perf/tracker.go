@@ -1,3 +1,23 @@
+// Package perf is the throughput half of the observability story. Where
+// internal/telemetry records *what* a run cost in model units (spikes,
+// deliveries, ℓ1 movement) and internal/metrics exposes those costs live,
+// this package measures *how fast* the reproduction pays them on real
+// hardware: engine steps/sec, deliveries/sec, per-phase wall time
+// (netlist build / run / report), and allocation + GC deltas from
+// runtime.MemStats snapshots bracketing each run. The engine totals
+// themselves come from the run's snn.Stats (Tracker.SetTotals); this
+// package never counts steps on its own.
+//
+// The package is a stdlib-only leaf, imported by telemetry (manifest
+// section), metrics (Prometheus families), harness (perf tier + soak)
+// and service (wall-mode trace refinement), never the other way around.
+//
+// Results are emitted as a deterministic spaa-perf/v1 Report: the
+// counter-derived fields (steps, deliveries, deliveries/step, queue
+// high-water) are seed-determined and compared exactly by the perf
+// gate; the wall-derived fields (rates, phase times, alloc/GC deltas)
+// are machine noise and are zeroed under -deterministic so committed
+// baselines stay byte-reproducible across hosts.
 package perf
 
 import "time"
@@ -14,9 +34,8 @@ type SpanSink interface {
 
 // Tracker brackets one run: it snapshots the heap at construction,
 // accumulates named phase spans (build / run / report), and renders a
-// Report when stopped. A Tracker is single-goroutine (one per run, the
-// way harness.Soak and the perf tier use it); the Counters it summarizes
-// are the concurrent part.
+// Report when stopped. A Tracker is single-goroutine: one per run, the
+// way harness.Soak and the perf tier use it.
 type Tracker struct {
 	start    time.Time
 	startMem MemSnapshot
@@ -75,21 +94,13 @@ func (t *Tracker) closePhase(now time.Time) {
 	}
 }
 
-// SetTotals records the run's counter-derived totals (from snn.Stats or
-// a Counters instance) for the report's throughput math.
+// SetTotals records the run's engine totals (from its snn.Stats) for the
+// report's throughput math.
 func (t *Tracker) SetTotals(steps, spikes, deliveries, maxQueueDepth int64) {
 	if t == nil {
 		return
 	}
 	t.steps, t.spikes, t.deliveries, t.maxQueue = steps, spikes, deliveries, maxQueueDepth
-}
-
-// AddCounters is SetTotals from a live Counters instrument.
-func (t *Tracker) AddCounters(c *Counters) {
-	if t == nil || c == nil {
-		return
-	}
-	t.SetTotals(c.Steps(), c.Spikes(), c.Deliveries(), c.MaxQueueDepth())
 }
 
 // Stop closes the open phase, stamps the total wall time, and takes the

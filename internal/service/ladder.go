@@ -28,7 +28,7 @@ import (
 // Every rung charges its simulated cost (spike time + backoff units) to
 // resp.CostUnits; a budget of 0 is unlimited. Each rung attempted opens
 // a StageRung span on qt (nil = untraced), with build/run/retry
-// sub-spans and engine step totals from qt.Probe().
+// sub-spans; run spans carry the engine totals of the rung's snn.Stats.
 func (s *Service) ladder(q Query, g *graph.Graph, resp *Response, qt *trace.Active) {
 	if q.Workload == "khop" {
 		s.ladderKHop(q, g, resp, qt)
@@ -92,9 +92,9 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 		qt.End(bref, int64(g.M()+g.N())) // synapse-programming events: the O(m+n) load model
 		eref := qt.BeginUnder(rref, trace.StageRun, "wavefront")
 		tk.Phase(trace.StageRun)
-		res, _ := sn.RunBudgeted(q.Src, -1, nil, 0, rem.cap(), qt.Probe())
+		res, _ := sn.RunBudgeted(q.Src, -1, nil, 0, rem.cap())
 		tk.Stop()
-		qt.EndEngine(eref, res.SpikeTime)
+		qt.EndEngine(eref, res.SpikeTime, res.Stats.Steps, res.Stats.Spikes, res.Stats.Deliveries)
 		if !res.TimedOut {
 			resp.Mode = ModeExact
 			resp.Dist = res.Dist
@@ -137,8 +137,8 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 			qt.End(aref, backoff)
 		}
 		eref := qt.BeginUnder(rref, trace.StageRun, "nmr vote")
-		vote := faults.NMRSSSP(g, q.Src, m, s.cfg.NMRReplicas, qt.Probe())
-		qt.EndEngine(eref, vote.SpikeTime)
+		vote := faults.NMRSSSP(g, q.Src, m, s.cfg.NMRReplicas)
+		qt.EndEngine(eref, vote.SpikeTime, vote.Stats.Steps, vote.Stats.Spikes, vote.Stats.Deliveries)
 		resp.CostUnits += rem.charge(vote.SpikeTime)
 		if vote.TimedOut > 0 {
 			resp.TimedOut = true
@@ -162,8 +162,8 @@ func (s *Service) ladderSSSP(q Query, g *graph.Graph, resp *Response, qt *trace.
 		cref := qt.Begin(trace.StageRung, ModeSelfCheck)
 		eref := qt.BeginUnder(cref, trace.StageRun, "selfcheck")
 		check := faults.SSSPWithSelfCheck(g, q.Src, model.WithSeed(
-			faults.DeriveSeed(model.Seed, "service-selfcheck", 0)), s.cfg.MaxRetries, qt.Probe())
-		qt.EndEngine(eref, check.SpikeTime)
+			faults.DeriveSeed(model.Seed, "service-selfcheck", 0)), s.cfg.MaxRetries)
+		qt.EndEngine(eref, check.SpikeTime, check.Stats.Steps, check.Stats.Spikes, check.Stats.Deliveries)
 		if check.Attempts > 1 {
 			aref := qt.BeginUnder(cref, trace.StageRetry,
 				strconv.Itoa(check.Attempts-1)+" selfcheck retries")
@@ -202,18 +202,12 @@ func minEngineCost(g *graph.Graph) int64 {
 }
 
 // approxRung serves the final ladder step: a truncated
-// (1+o(1))-approximate answer over at most q.K hops. Its cost is charged
-// but not gated — it is the floor of the ladder.
+// (1+o(1))-approximate answer over at most q.K hops (normalize keeps K
+// in [1, n-1]). Its cost is charged but not gated — it is the floor of
+// the ladder.
 func (s *Service) approxRung(q Query, g *graph.Graph, resp *Response, qt *trace.Active) {
-	k := q.K
-	if k < 1 {
-		k = 1
-	}
-	if k > g.N()-1 {
-		k = g.N() - 1
-	}
 	rref := qt.Begin(trace.StageRung, ModeApprox)
-	ap := core.ApproxKHop(g, q.Src, k, 0)
+	ap := core.ApproxKHop(g, q.Src, q.K, 0)
 	resp.Mode = ModeApprox
 	resp.SpikeTime = ap.SpikeTime
 	resp.CostUnits += ap.SpikeTime

@@ -141,7 +141,7 @@ type Query struct {
 	U         int64  `json:"u"`
 	GraphSeed int64  `json:"graph_seed"`
 	Src       int    `json:"src"`
-	K         int    `json:"k"`      // hop bound (khop and the approx rung)
+	K         int    `json:"k"`      // hop bound (khop and the approx rung), clamped to n-1
 	Budget    int64  `json:"budget"` // per-query deadline override in simulated steps
 	// TraceParent is the caller's W3C traceparent header, if any; when
 	// valid the query's trace continues the caller's trace instead of
@@ -285,6 +285,11 @@ func (s *Service) normalize(q *Query) error {
 	}
 	if q.K <= 0 {
 		q.K = 4
+	}
+	if q.K > q.N-1 {
+		// Edge lengths are positive, so a shortest walk never needs more
+		// than n-1 hops: every larger k answers exactly like k = n-1.
+		q.K = q.N - 1
 	}
 	if q.Budget < 0 {
 		return fmt.Errorf("budget=%d negative", q.Budget)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,6 +65,33 @@ func TestLadderKHopDeadlineFallsToApprox(t *testing.T) {
 	bf := classic.BellmanFordKHop(buildGraph(testQuery("khop")), 0, 4, false)
 	if !distEqual(full.Dist, bf.Dist) {
 		t.Fatalf("exact khop diverged from Bellman-Ford")
+	}
+}
+
+// TestKHopKClampedToNMinusOne: a k-hop bound past n-1 cannot change a
+// distance (edge lengths are positive), so normalize clamps it there
+// instead of paying for a 2^30-hop circuit.
+func TestKHopKClampedToNMinusOne(t *testing.T) {
+	s := newTestService(Config{})
+	big := testQuery("khop")
+	big.K = 1 << 30
+	if err := s.normalize(&big); err != nil {
+		t.Fatal(err)
+	}
+	if big.K != big.N-1 {
+		t.Fatalf("K=1<<30 normalized to %d, want n-1=%d", big.K, big.N-1)
+	}
+	explicit := testQuery("khop")
+	explicit.K = explicit.N - 1
+	want := s.Execute(explicit, 0)
+	huge := testQuery("khop")
+	huge.K = 1 << 30
+	got := s.Execute(huge, 0)
+	if !Guaranteed(got.Mode) || !distEqual(got.Dist, Reference(explicit)) {
+		t.Fatalf("clamped query served mode=%s, not reference-equal", got.Mode)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("K=1<<30 response differs from K=n-1:\n%+v\n%+v", got, want)
 	}
 }
 

@@ -21,23 +21,118 @@ func (p *countingProbe) OnStep(t int64, spikes, deliveries, active, queueDepth i
 	}
 }
 
+// lossyInjector is a stub fault model for the probe/Stats invariant: it
+// drops every third scheduled delivery and suppresses the threshold
+// fires of every seventh neuron, counting both so the test can tell the
+// faults actually landed.
+type lossyInjector struct {
+	scheduled, dropped, suppressed int
+}
+
+func (l *lossyInjector) Prepare(*Network) {}
+
+func (l *lossyInjector) FilterDelivery(t int64, from, to int32, w float64, d int64) (float64, int64, bool) {
+	l.scheduled++
+	if l.scheduled%3 == 0 {
+		l.dropped++
+		return w, d, true
+	}
+	return w, d, false
+}
+
+func (l *lossyInjector) FilterFire(t int64, i int32, induced bool) bool {
+	if !induced && i%7 == 0 {
+		l.suppressed++
+		return false
+	}
+	return true
+}
+
+func (l *lossyInjector) PerturbVoltage(int64, int32) float64 { return 0 }
+
+// TestProbeSeesEveryStep pins the invariant that lets reports take engine
+// totals from Stats instead of a step probe: however a run ends, a probe
+// summing OnStep sees exactly the steps, spikes and deliveries Stats
+// counts, and never a queue depth above Stats.MaxQueueDepth.
 func TestProbeSeesEveryStep(t *testing.T) {
-	net := buildWavefront(128, 512, 11)
-	p := &countingProbe{}
-	net.SetProbe(p)
-	net.Run(1 << 30)
-	st := net.TotalStats()
-	if p.steps != st.Steps {
-		t.Fatalf("probe saw %d steps, stats %d", p.steps, st.Steps)
+	// The terminal case halts on a neuron that first fires mid-run in a
+	// reference simulation of the same netlist.
+	ref := buildWavefront(128, 512, 11)
+	refRun := ref.Run(1 << 30)
+	terminal := -1
+	for i := 0; i < ref.N(); i++ {
+		if ft := ref.FirstSpike(i); ft > 0 && ft < refRun.Now/2 {
+			terminal = i
+		}
 	}
-	if p.spikes != st.Spikes {
-		t.Fatalf("probe saw %d spikes, stats %d", p.spikes, st.Spikes)
+	if terminal < 0 {
+		t.Fatal("reference run has no mid-run spike to halt on")
 	}
-	if p.deliveries != st.Deliveries {
-		t.Fatalf("probe saw %d deliveries, stats %d", p.deliveries, st.Deliveries)
+
+	inj := &lossyInjector{}
+	cases := []struct {
+		name    string
+		maxTime int64
+		setup   func(*Network)
+		check   func(Result) bool
+	}{
+		{"quiescent", 1 << 30, func(*Network) {}, func(r Result) bool { return r.Quiescent }},
+		{"terminal", 1 << 30, func(n *Network) { n.SetTerminal(terminal) }, func(r Result) bool { return r.Halted }},
+		{"max-time", refRun.Now / 3, func(*Network) {}, func(r Result) bool { return r.TimedOut }},
+		{"injector", 1 << 30, func(n *Network) { n.SetInjector(inj) }, func(r Result) bool { return r.Quiescent }},
 	}
-	if p.maxQueue > st.MaxQueueDepth {
-		t.Fatalf("probe max queue %d exceeds stats %d", p.maxQueue, st.MaxQueueDepth)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := buildWavefront(128, 512, 11)
+			tc.setup(net)
+			p := &countingProbe{}
+			net.SetProbe(p)
+			r := net.Run(tc.maxTime)
+			if !tc.check(r) {
+				t.Fatalf("run ended the wrong way: %+v", r)
+			}
+			st := r.Stats
+			if st != net.TotalStats() {
+				t.Fatalf("result stats %+v, network stats %+v", st, net.TotalStats())
+			}
+			if st.Steps == 0 {
+				t.Fatal("run processed no steps")
+			}
+			if p.steps != st.Steps {
+				t.Fatalf("probe saw %d steps, stats %d", p.steps, st.Steps)
+			}
+			if p.spikes != st.Spikes {
+				t.Fatalf("probe saw %d spikes, stats %d", p.spikes, st.Spikes)
+			}
+			if p.deliveries != st.Deliveries {
+				t.Fatalf("probe saw %d deliveries, stats %d", p.deliveries, st.Deliveries)
+			}
+			if p.maxQueue > st.MaxQueueDepth {
+				t.Fatalf("probe max queue %d exceeds stats %d", p.maxQueue, st.MaxQueueDepth)
+			}
+		})
+	}
+	if inj.dropped == 0 || inj.suppressed == 0 {
+		t.Fatalf("stub injector landed no faults: %+v", *inj)
+	}
+}
+
+// TestEngineProbeZeroAlloc pins the probe hook's zero-allocation
+// contract in the regular suite: a full wavefront simulation with a
+// counting probe attached allocates as much as the same run with none.
+func TestEngineProbeZeroAlloc(t *testing.T) {
+	measure := func(probe StepProbe) float64 {
+		return testing.AllocsPerRun(5, func() {
+			net := buildWavefront(512, 2048, 9)
+			net.SetProbe(probe)
+			net.Run(1 << 30)
+		})
+	}
+	base := measure(nil)
+	// Hundreds of steps would show up as hundreds of objects; allow a few
+	// whole-run objects of runtime noise.
+	if with := measure(&countingProbe{}); with > base+4 {
+		t.Errorf("probe added allocations: %.0f objects/run with it, %.0f without", with, base)
 	}
 }
 

@@ -205,6 +205,19 @@ type Stats struct {
 	SilentStepsSkipped int64
 }
 
+// Add folds another run's stats into s: the counts sum, MaxQueueDepth
+// keeps the larger high-water mark. It totals computations made of
+// several engine runs (NMR replicas, self-check attempts).
+func (s *Stats) Add(o Stats) {
+	s.Spikes += o.Spikes
+	s.Deliveries += o.Deliveries
+	s.Steps += o.Steps
+	s.SilentStepsSkipped += o.SilentStepsSkipped
+	if o.MaxQueueDepth > s.MaxQueueDepth {
+		s.MaxQueueDepth = o.MaxQueueDepth
+	}
+}
+
 // NewNetwork returns an empty network with the given configuration.
 func NewNetwork(cfg Config) *Network {
 	return &Network{

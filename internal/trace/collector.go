@@ -322,7 +322,6 @@ type Active struct {
 	c      *Collector
 	tr     *Trace
 	cursor int64
-	probe  EngineProbe
 	done   bool
 }
 
@@ -435,31 +434,19 @@ func (a *Active) PhaseSpan(name string, startMicros, durMicros int64) {
 	}
 }
 
-// Probe returns the trace's engine step probe, to be passed to an
-// engine run (it satisfies snn.StepProbe structurally). nil for a nil
-// Active — and a nil *EngineProbe is itself a no-op probe.
-func (a *Active) Probe() *EngineProbe {
-	if a == nil {
-		return nil
-	}
-	return &a.probe
-}
-
-// EndEngine closes a run span with units logical units and folds the
-// engine probe's step/spike/delivery totals into it, resetting the
-// probe for the next attempt.
-func (a *Active) EndEngine(ref SpanRef, units int64) {
+// EndEngine closes a run span with units logical units and records the
+// engine totals of the work it covers — the steps, spikes and
+// deliveries of the run's snn.Stats, summed over replicas or attempts
+// when the span covers several runs.
+func (a *Active) EndEngine(ref SpanRef, units, steps, spikes, deliveries int64) {
 	if a == nil {
 		return
 	}
 	a.End(ref, units)
 	if int(ref) >= 0 && int(ref) < len(a.tr.Spans) {
 		s := &a.tr.Spans[ref]
-		s.Steps = a.probe.steps
-		s.Spikes = a.probe.spikes
-		s.Deliveries = a.probe.deliveries
+		s.Steps, s.Spikes, s.Deliveries = steps, spikes, deliveries
 	}
-	a.probe.Reset()
 }
 
 // Spans exposes the accumulated spans (for metric folds after Finish).

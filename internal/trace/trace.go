@@ -24,10 +24,9 @@
 // contract the deterministic soak test asserts.
 //
 // The package is a stdlib-only leaf: service, telemetry, metrics,
-// harness and cmd/spaabench import it, never the reverse. EngineProbe
-// satisfies snn.StepProbe structurally — the engine does not import
-// trace, and a nil probe costs the engine nothing (pinned by
-// BenchmarkEngineTraceOverhead).
+// harness and cmd/spaabench import it, never the reverse. Run spans
+// take their step/spike/delivery totals from the engine's own snn.Stats
+// (Active.EndEngine), so tracing attaches nothing to the engine.
 package trace
 
 import (
@@ -157,7 +156,7 @@ type Span struct {
 	Dur    int64  `json:"dur"`
 	// WallMicros refines Dur with measured wall time (live mode only).
 	WallMicros int64 `json:"wall_us,omitempty"`
-	// Engine sub-event totals sampled off the snn.StepProbe fan-out
+	// Engine totals of the run(s) the span covers, from snn.Stats
 	// (run spans only).
 	Steps      int64 `json:"steps,omitempty"`
 	Spikes     int64 `json:"spikes,omitempty"`
