@@ -13,9 +13,8 @@ import (
 
 // The provenance forensics subcommands: `why` records a spiking SSSP run
 // with the causal flight recorder and walks the proof tree behind a
-// spike, `replay` re-executes a recorded log and verifies it
-// bit-identical, and `regress` diffs fresh runs against committed
-// BENCH_*.json baselines.
+// spike, and `replay` re-executes a recorded log and verifies it
+// bit-identical.
 
 // cmdWhy explains why a neuron fired: it runs the Section 3 SSSP
 // construction with the flight recorder attached (or reads an existing
@@ -138,157 +137,4 @@ func readProvenanceArg(name string) (*telemetry.ProvenanceLog, error) {
 		return telemetry.ReadProvenance(os.Stdin)
 	}
 	return telemetry.ReadProvenanceFile(name)
-}
-
-// cmdRegress is the manifest regression gate: for every committed
-// BENCH_*.json baseline it re-runs the workload the manifest describes
-// (same command, graph parameters, and seeds), rebuilds a fresh manifest
-// through the same code path, and diffs every cost quantity. Any drift
-// outside -tol fails the gate with a nonzero exit.
-func cmdRegress(args []string) error {
-	fs := flag.NewFlagSet("regress", flag.ExitOnError)
-	tol := fs.Float64("tol", 0, "accepted relative drift for cost quantities (0: exact)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: spaabench regress [-tol 0.02] <baseline.json ...>")
-	}
-	failed := 0
-	for _, path := range fs.Args() {
-		base, err := readManifestFile(path)
-		if err != nil {
-			return err
-		}
-		fresh, err := rerunBaseline(base)
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		drifts := telemetry.DiffManifests(base, fresh, telemetry.Tolerance{Rel: *tol})
-		if len(drifts) == 0 {
-			fmt.Printf("ok   %s (%s)\n", path, base.Command)
-			continue
-		}
-		failed++
-		fmt.Printf("FAIL %s (%s): %d quantities drifted\n", path, base.Command, len(drifts))
-		for _, d := range drifts {
-			fmt.Printf("  %s\n", d)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d baselines drifted", failed, fs.NArg())
-	}
-	fmt.Printf("all %d baselines within tolerance\n", fs.NArg())
-	return nil
-}
-
-func readManifestFile(path string) (*telemetry.Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return telemetry.ReadManifest(f)
-}
-
-// rerunBaseline re-executes the workload a baseline manifest describes
-// through the shared runner for its command and returns the fresh
-// manifest.
-func rerunBaseline(base *telemetry.Manifest) (*telemetry.Manifest, error) {
-	// deterministic: regress compares counters, not wall clocks; a
-	// re-run manifest must be byte-stable modulo the measured series.
-	o := &obs{force: true, deterministic: true}
-	if err := o.begin(base.Command); err != nil {
-		return nil, err
-	}
-	switch base.Command {
-	case "sssp":
-		if algo := cfgString(base, "algo", "spiking"); algo != "spiking" {
-			return nil, fmt.Errorf("regress can re-run only -algo spiking baselines (got %q)", algo)
-		}
-		g, err := baselineGraph(base)
-		if err != nil {
-			return nil, err
-		}
-		runSSSPSpiking(o, g, base.Graph.Seed, cfgInt(base, "src", 0), cfgInt(base, "dst", -1))
-	case "congest":
-		g, err := baselineGraph(base)
-		if err != nil {
-			return nil, err
-		}
-		runCongest(o, g, base.Graph.Seed)
-	case "table1":
-		sizes := cfgInts(base, "sizes")
-		if len(sizes) == 0 {
-			return nil, fmt.Errorf("table1 baseline has no sizes in config")
-		}
-		runTable1(o, harness.Table1Config{
-			Sizes:        sizes,
-			Density:      cfgInt(base, "density", 4),
-			U:            int64(cfgInt(base, "u", 8)),
-			K:            cfgInt(base, "k", 8),
-			C:            cfgInt(base, "c", 4),
-			Seed:         int64(cfgInt(base, "seed", 1)),
-			SkipMovement: cfgBool(base, "skip_movement"),
-		})
-	default:
-		return nil, fmt.Errorf("regress cannot re-run command %q (supported: sssp, congest, table1)", base.Command)
-	}
-	return o.manifest(), nil
-}
-
-// baselineGraph regenerates the workload graph a manifest records. The
-// maximum edge length passed to the generator comes from config "u" when
-// present and falls back to the graph's recorded max_len (identical for
-// every committed baseline: with hundreds of uniform draws the maximum
-// is always attained).
-func baselineGraph(base *telemetry.Manifest) (*graph.Graph, error) {
-	gp := base.Graph
-	if gp == nil {
-		return nil, fmt.Errorf("baseline has no graph parameters to regenerate from")
-	}
-	if gp.Kind != "" && gp.Kind != "random" {
-		return nil, fmt.Errorf("regress can regenerate only random graphs (got %q)", gp.Kind)
-	}
-	u := int64(cfgInt(base, "u", int(gp.MaxLen)))
-	if u < 1 {
-		return nil, fmt.Errorf("baseline graph has no usable max edge length")
-	}
-	return graph.RandomGnm(gp.N, gp.M, graph.Uniform(u), gp.Seed, true), nil
-}
-
-// Config values arrive from JSON as float64 (numbers), bool, string, or
-// []any; these helpers decode with defaults.
-
-func cfgInt(m *telemetry.Manifest, key string, def int) int {
-	if v, ok := m.Config[key].(float64); ok {
-		return int(v)
-	}
-	return def
-}
-
-func cfgBool(m *telemetry.Manifest, key string) bool {
-	v, _ := m.Config[key].(bool)
-	return v
-}
-
-func cfgString(m *telemetry.Manifest, key, def string) string {
-	if v, ok := m.Config[key].(string); ok {
-		return v
-	}
-	return def
-}
-
-func cfgInts(m *telemetry.Manifest, key string) []int {
-	raw, ok := m.Config[key].([]any)
-	if !ok {
-		return nil
-	}
-	out := make([]int, 0, len(raw))
-	for _, x := range raw {
-		if v, ok := x.(float64); ok {
-			out = append(out, int(v))
-		}
-	}
-	return out
 }

@@ -20,11 +20,9 @@
 //	spaabench faults [-rates 0,0.01] [-trials 20] [-k 3]  # fault-injection sweep + degradation curve
 //	spaabench why -n 64 -m 256 -dst 5 [-save log.jsonl]   # causal proof tree behind a spike
 //	spaabench replay <log.jsonl>                  # re-execute a provenance log, verify bit-identical
-//	spaabench regress [-tol 0.02] BENCH_*.json    # diff fresh runs against committed baselines
 //	spaabench serve [-addr 127.0.0.1:9090]        # live metrics daemon: /metrics, dashboard, SSE
 //	spaabench soak [-workers 8] [-iters 16] [-addr URL]  # concurrent load driver
-//	spaabench perf [-tier small] [-gate]          # benchmark tier vs BENCH_perf_*.json baselines
-//	spaabench energy [-gate]                      # metered energy sweep vs BENCH_energy_*.json baselines
+//	spaabench gate [-tier small] [-cases a,b]     # every baselined case vs its committed BENCH_<case>.json
 //	spaabench trace [-gate]                       # traced chaos replay: ASCII waterfalls + determinism/coverage gate
 //
 // The sssp, table1, flow, congest, fleet, and timeline subcommands also
@@ -33,17 +31,15 @@
 // byte-reproducible output), -trace out.json writes Chrome trace_event
 // JSON viewable in Perfetto, and -cpuprofile / -memprofile write pprof
 // profiles. `why -save` writes a spaa-provenance/v1 causal spike log
-// that `replay` re-executes; `regress` is the CI gate over the
-// committed BENCH_*.json manifests. `serve` exposes a Prometheus-style
-// /metrics endpoint plus a live dashboard; `soak` drives seeded
-// concurrent load through the instrumented stack and can stream its run
-// manifests to a serve daemon; `perf` runs the named benchmark tier and
-// gates counter-derived throughput metrics (exactly) and wall time
-// (within a band) against the committed BENCH_perf_*.json baselines;
-// `energy` prices per-spike/per-delivery/per-idle-step energy across
-// every Table 3 platform alongside a classic comparator on the same
-// run, gated against the committed BENCH_energy_*.json baselines.
-// See docs/OBSERVABILITY.md.
+// that `replay` re-executes. `gate` is the CI gate over the committed
+// BENCH_*.json manifests: it runs every case of one registry — the perf
+// tier, the metered energy sweep, and the fixed sssp/table1/congest
+// runs — and diffs each fresh manifest against its baseline, exactly
+// for every deterministic quantity and within a band for perf wall
+// time. `serve` exposes a Prometheus-style /metrics endpoint plus a
+// live dashboard; `soak` drives seeded concurrent load through the
+// instrumented stack and can stream its run manifests to a serve
+// daemon. See docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -118,8 +114,6 @@ func realMain(argv []string) int {
 		err = cmdWhy(args)
 	case "replay":
 		err = cmdReplay(args)
-	case "regress":
-		err = cmdRegress(args)
 	case "verify":
 		err = cmdVerify(args)
 	case "validate":
@@ -128,10 +122,8 @@ func realMain(argv []string) int {
 		err = cmdServe(args)
 	case "soak":
 		err = cmdSoak(args)
-	case "perf":
-		err = cmdPerf(args)
-	case "energy":
-		err = cmdEnergy(args)
+	case "gate":
+		err = cmdGate(args)
 	case "chaos":
 		err = cmdChaos(args)
 	case "trace":
@@ -149,15 +141,14 @@ func realMain(argv []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spaabench {table1|table2|table3|figures|experiments|sssp|gen|raster|timeline|flow|congest|dot|crossover|fleet|faults|why|replay|regress|verify|validate|serve|soak|perf|energy|chaos|trace} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: spaabench {table1|table2|table3|figures|experiments|sssp|gen|raster|timeline|flow|congest|dot|crossover|fleet|faults|why|replay|verify|validate|serve|soak|gate|chaos|trace} [flags]")
 	fmt.Fprintln(os.Stderr, "robustness: faults [-rates 0,0.01,...] [-trials 20] [-k 3] [-retries 3] [-strict] [-metrics out.json]")
 	fmt.Fprintln(os.Stderr, "chaos: chaos [-queries 160] [-seed 1] [-deterministic] [-strict] [-drop 0.02] [-budget 0] [-workers 2] [-queue 4] [-quota-tokens 16] [-out report.json] [-trace-out trace.json]")
 	fmt.Fprintln(os.Stderr, "tracing: trace [-queries 160] [-seed 1] [-budget 256] [-gate] [-max-traces 4] [-out manifest.json] [-chrome trace.json] [-drop-degraded]")
 	fmt.Fprintln(os.Stderr, "observability (sssp, table1, flow, congest, fleet, timeline): -metrics out.json [-deterministic] -trace out.json -cpuprofile out.pprof -memprofile out.pprof")
-	fmt.Fprintln(os.Stderr, "forensics: why -dst N [-save log.jsonl] | replay log.jsonl | regress [-tol 0.02] BENCH_*.json")
+	fmt.Fprintln(os.Stderr, "forensics: why -dst N [-save log.jsonl] | replay log.jsonl")
 	fmt.Fprintln(os.Stderr, "live: serve [-addr 127.0.0.1:9090] [-preload 'BENCH_*.json'] | soak [-workers 8] [-iters 16] [-mix sssp,congest,fleet,table1] [-addr http://127.0.0.1:9090]")
-	fmt.Fprintln(os.Stderr, "perf: perf [-tier smoke|small|large|all] [-cases a,b] [-baseline-dir .] [-gate] [-tol 0] [-wall-tol 0.5] [-deterministic] [-write-baseline DIR] [-out DIR] [-slowdown-ms 0]")
-	fmt.Fprintln(os.Stderr, "energy: energy [-cases a,b] [-baseline-dir .] [-gate] [-tol 0] [-deterministic] [-write-baseline DIR] [-out DIR] [-tariff-scale 1000]")
+	fmt.Fprintln(os.Stderr, "gate: gate [-tier smoke|small|large|all] [-cases a,b] [-baseline-dir .] [-write-baseline DIR] [-out DIR] [-tol 0] [-wall-tol 0.5] [-deterministic] [-slowdown-ms 0] [-tariff-scale 0]")
 }
 
 func parseInts(s string) ([]int, error) {

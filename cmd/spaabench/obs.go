@@ -28,15 +28,14 @@ type obs struct {
 	deterministic bool
 
 	// force turns probing on without any output path — `spaabench
-	// regress` re-runs baselines through the same code paths and collects
+	// gate` runs its fixed cases through the same code paths and collects
 	// the manifest in memory.
 	force bool
 
-	command   string
-	start     time.Time
-	stopCPU   func() error
-	memDone   bool
-	recFolded bool
+	command string
+	start   time.Time
+	stopCPU func() error
+	memDone bool
 
 	// Rec is the probe sink handed to the instrumented engines; Man and
 	// Tr accumulate what finish() writes out.
@@ -177,14 +176,14 @@ func (o *obs) setGraph(g *graph.Graph, seed int64, kind string) {
 	}
 }
 
-// manifest folds the recorder into the manifest (once) and returns it —
-// the in-memory form `spaabench regress` diffs without writing a file.
-func (o *obs) manifest() *telemetry.Manifest {
-	if !o.recFolded {
-		o.Man.AddRecorder(o.Rec)
-		o.recFolded = true
-	}
-	return o.Man
+// finalManifest folds the recorder into the manifest and stamps its
+// wall time (zeroed under deterministic) — the manifest -metrics writes
+// and `spaabench gate` diffs.
+func (o *obs) finalManifest() *telemetry.Manifest {
+	man := o.Man.AddRecorder(o.Rec)
+	//lint:wallclock manifest finalization stamps real elapsed time; -deterministic zeroes it downstream
+	man.Finalize(o.start, time.Since(o.start), telemetry.ManifestOptions{Deterministic: o.deterministic})
+	return man
 }
 
 // finish stops profiling and writes every requested output.
@@ -193,10 +192,7 @@ func (o *obs) finish() error {
 		return err
 	}
 	if o.metricsPath != "" {
-		man := o.manifest()
-		//lint:wallclock manifest finalization stamps real elapsed time; -deterministic zeroes it downstream
-		man.Finalize(o.start, time.Since(o.start), telemetry.ManifestOptions{Deterministic: o.deterministic})
-		if err := man.WriteFile(o.metricsPath); err != nil {
+		if err := o.finalManifest().WriteFile(o.metricsPath); err != nil {
 			return err
 		}
 	}

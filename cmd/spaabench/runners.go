@@ -10,9 +10,8 @@ import (
 )
 
 // The measured work of the sssp/congest/table1 subcommands, factored out
-// so `spaabench regress` re-executes a committed baseline through
-// exactly the code path (probes, counters, manifest fields) that
-// produced it. The cmd* wrappers own flag parsing and printing; the
+// so `spaabench gate` re-executes a committed baseline through exactly
+// the code path (probes, counters, manifest fields) that produced it. The cmd* wrappers own flag parsing and printing; the
 // runners own everything a manifest records.
 
 // runSSSPSpiking executes the Section 3 spiking SSSP run and fills the

@@ -185,7 +185,7 @@ func TestFormatAdvantage(t *testing.T) {
 		in   int64
 		want string
 	}{
-		{0, "-"}, {-5, "-"}, {1000, "1.0x"}, {8139, "8.1x"}, {1234567, "1234.5x"},
+		{0, "-"}, {-5, "-"}, {97, "0.097x"}, {999, "0.999x"}, {1000, "1.0x"}, {8139, "8.1x"}, {1234567, "1234.5x"},
 	}
 	for _, c := range cases {
 		if got := FormatAdvantage(c.in); got != c.want {

@@ -177,10 +177,15 @@ func (r *Report) BestAdvantageMilli() int64 {
 }
 
 // FormatAdvantage renders an integral milli-advantage for tables:
-// "8139.5x", or "-" for the unpublished-tariff case.
+// "8139.5x"; below 1x with three decimals ("0.097x"), so a
+// disadvantage never rounds to zero; "-" for the unpublished-tariff
+// case.
 func FormatAdvantage(advMilli int64) string {
 	if advMilli <= 0 {
 		return "-"
+	}
+	if advMilli < 1000 {
+		return fmt.Sprintf("0.%03dx", advMilli)
 	}
 	return fmt.Sprintf("%d.%01dx", advMilli/1000, (advMilli%1000)/100)
 }

@@ -19,7 +19,7 @@ import (
 // instance. Each case's manifest carries the spaa-energy/v1 section —
 // integral millipicojoules, wall-free by construction — so the committed
 // BENCH_energy_<name>.json baselines are byte-reproducible and the
-// `spaabench energy -gate` comparison is exact by default.
+// `spaabench gate` comparison is exact by default.
 
 // EnergyCase names one metered workload of the energy sweep.
 type EnergyCase struct {
@@ -45,16 +45,6 @@ var EnergyCases = []EnergyCase{
 	{Name: "sssp_random_256", Kind: "sssp", N: 256, M: 1024, U: 8, Seed: 7},
 	{Name: "khop_compiled_24", Kind: "khop", N: 24, M: 72, U: 3, Seed: 5, K: 4},
 	{Name: "table1_48", Kind: "table1", N: 48, U: 8, Seed: 1, K: 4},
-}
-
-// EnergyCaseByName finds a case by name.
-func EnergyCaseByName(name string) (EnergyCase, bool) {
-	for _, c := range EnergyCases {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return EnergyCase{}, false
 }
 
 // EnergyOptions configures one energy sweep execution.
@@ -210,57 +200,26 @@ func distChecksum(dist []int64) int64 {
 	return sum
 }
 
-// EnergyDelta is the comparison of one fresh case run against its
-// baseline.
-type EnergyDelta struct {
-	Name        string
-	Base, Fresh *telemetry.Manifest
-	// Drifts lists quantities outside tolerance (every energy field is
-	// wall-free, so all of them are comparable).
-	Drifts []telemetry.Drift
-	// MissingBaseline reports that no baseline manifest was supplied.
-	MissingBaseline bool
-}
-
-// OK reports whether the fresh run is within tolerance of its baseline.
-func (d *EnergyDelta) OK() bool {
-	return !d.MissingBaseline && len(d.Drifts) == 0
-}
-
-// CompareEnergy diffs a fresh case manifest against its baseline under
-// the relative tolerance (zero demands byte-exact agreement — the
-// default, since every energy quantity is seed-determined).
-func CompareEnergy(name string, base, fresh *telemetry.Manifest, tol float64) *EnergyDelta {
-	d := &EnergyDelta{Name: name, Base: base, Fresh: fresh}
-	if base == nil {
-		d.MissingBaseline = true
-		return d
-	}
-	d.Drifts = telemetry.DiffManifests(base, fresh, telemetry.Tolerance{Rel: tol})
-	return d
-}
-
-// RenderEnergyTable formats deltas as the `spaabench energy` advantage
+// RenderEnergyTable formats energy-case manifests as the advantage
 // table: one row per case with both sides' energy in microjoules, the
 // build/wavefront phase split of the spiking total (reference tariff),
-// the per-platform advantage columns (— for platforms without a
-// published tariff), and the verdict.
-func RenderEnergyTable(deltas []*EnergyDelta) string {
+// and the per-platform advantage columns ("-" for platforms without a
+// published tariff).
+func RenderEnergyTable(mans []*telemetry.Manifest) string {
 	names := energy.PlatformNames()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %14s %14s %17s", "case", "classic µJ", "spiking µJ", "build/wave µJ")
 	for _, n := range names {
 		fmt.Fprintf(&b, " %12s", n)
 	}
-	fmt.Fprintf(&b, "  %s\n", "status")
-	for _, d := range deltas {
+	b.WriteString("\n")
+	for _, m := range mans {
 		classicUJ, spikingUJ, phaseUJ := "-", "-", "-"
 		adv := make([]string, len(names))
 		for i := range adv {
 			adv[i] = "-"
 		}
-		if d.Fresh != nil && d.Fresh.Energy != nil {
-			r := d.Fresh.Energy
+		if r := m.Energy; r != nil {
 			classicUJ = fmt.Sprintf("%.3f", energy.JoulesFromMilliPJ(r.ClassicMilliPJ)*1e6)
 			if ref := r.ReferenceMilliPJ(); ref > 0 {
 				spikingUJ = fmt.Sprintf("%.3f", energy.JoulesFromMilliPJ(ref)*1e6)
@@ -276,18 +235,11 @@ func RenderEnergyTable(deltas []*EnergyDelta) string {
 				}
 			}
 		}
-		status := "ok"
-		switch {
-		case d.MissingBaseline:
-			status = "NO BASELINE"
-		case len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d)", len(d.Drifts))
-		}
-		fmt.Fprintf(&b, "%-18s %14s %14s %17s", d.Name, classicUJ, spikingUJ, phaseUJ)
+		fmt.Fprintf(&b, "%-18s %14s %14s %17s", strings.TrimPrefix(m.Command, "energy:"), classicUJ, spikingUJ, phaseUJ)
 		for _, a := range adv {
 			fmt.Fprintf(&b, " %12s", a)
 		}
-		fmt.Fprintf(&b, "  %s\n", status)
+		b.WriteString("\n")
 	}
 	return b.String()
 }

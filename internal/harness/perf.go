@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -13,7 +12,7 @@ import (
 
 // Perf benchmark tier: named, seeded SSSP workloads whose manifests are
 // committed as BENCH_perf_<name>.json baselines and tracked run over run
-// by `spaabench perf`. Each case runs the full vertical — graph
+// by `spaabench gate`. Each case runs the full vertical — graph
 // generation + netlist build (phase "build"), spiking simulation
 // (phase "run"), result digestion (phase "report") — under a
 // perf.Tracker, so the manifest's spaa-perf/v1 section carries both the
@@ -46,30 +45,6 @@ var PerfCases = []PerfCase{
 	{Name: "sssp_grid_100k", Tier: "small", Kind: "grid", N: 100_000, U: 4, Seed: 3},
 	{Name: "sssp_scalefree_100k", Tier: "small", Kind: "scalefree", N: 100_000, M: 400_000, U: 8, Seed: 13},
 	{Name: "sssp_random_1m", Tier: "large", Kind: "random", N: 1_000_000, M: 4_000_000, U: 8, Seed: 17},
-}
-
-// PerfCasesForTier selects cases by tier ("all" selects every case).
-func PerfCasesForTier(tier string) []PerfCase {
-	if tier == "all" {
-		return PerfCases
-	}
-	var out []PerfCase
-	for _, c := range PerfCases {
-		if c.Tier == tier {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// PerfCaseByName finds a case by name.
-func PerfCaseByName(name string) (PerfCase, bool) {
-	for _, c := range PerfCases {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return PerfCase{}, false
 }
 
 // perfGraph instantiates a case's graph.
@@ -152,94 +127,4 @@ func RunPerfCase(c PerfCase, opts PerfOptions) (*telemetry.Manifest, error) {
 	//lint:wallclock manifest wall time is zeroed downstream under -deterministic
 	man.Finalize(start, time.Since(start), telemetry.ManifestOptions{Deterministic: opts.Deterministic})
 	return man, nil
-}
-
-// PerfTolerance bounds the accepted baseline deviation.
-type PerfTolerance struct {
-	// Rel is the relative band for counter-derived quantities, passed to
-	// telemetry.DiffManifests (zero demands exact equality —
-	// counter-derived fields are seed-determined, so zero is the
-	// default).
-	Rel float64
-	// Wall is the accepted relative slowdown of total wall time against
-	// the baseline (0.5 accepts up to 1.5× the baseline). Applied only
-	// when both manifests carry nonzero wall measurements — baselines
-	// written with -deterministic have none, so the wall band is then
-	// vacuously satisfied.
-	Wall float64
-}
-
-// PerfDelta is the comparison of one fresh case run against its
-// baseline.
-type PerfDelta struct {
-	Name        string
-	Base, Fresh *telemetry.Manifest
-	// Drifts lists counter-derived quantities outside tolerance.
-	Drifts []telemetry.Drift
-	// WallViolation reports the fresh run exceeding the wall band.
-	WallViolation bool
-	// MissingBaseline reports that no baseline manifest was supplied.
-	MissingBaseline bool
-}
-
-// OK reports whether the fresh run is within tolerance of its baseline.
-func (d *PerfDelta) OK() bool {
-	return !d.MissingBaseline && !d.WallViolation && len(d.Drifts) == 0
-}
-
-// ComparePerf diffs a fresh case manifest against its baseline:
-// counter-derived fields through telemetry.DiffManifests under tol.Rel,
-// total wall time within the tol.Wall band when both sides measured it.
-func ComparePerf(name string, base, fresh *telemetry.Manifest, tol PerfTolerance) *PerfDelta {
-	d := &PerfDelta{Name: name, Base: base, Fresh: fresh}
-	if base == nil {
-		d.MissingBaseline = true
-		return d
-	}
-	d.Drifts = telemetry.DiffManifests(base, fresh, telemetry.Tolerance{Rel: tol.Rel})
-	if base.Perf != nil && fresh.Perf != nil &&
-		base.Perf.WallMS > 0 && fresh.Perf.WallMS > 0 &&
-		fresh.Perf.WallMS > base.Perf.WallMS*(1+tol.Wall) {
-		d.WallViolation = true
-	}
-	return d
-}
-
-// RenderPerfTrend formats deltas as the `spaabench perf` trend table:
-// one row per case with the counter-derived totals, the wall times on
-// both sides, and the verdict.
-func RenderPerfTrend(deltas []*PerfDelta) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s %12s  %s\n",
-		"case", "steps", "deliveries", "del/step", "base ms", "fresh ms", "status")
-	for _, d := range deltas {
-		steps, deliveries, ratio := "-", "-", "-"
-		baseMS, freshMS := "-", "-"
-		if d.Fresh != nil && d.Fresh.Perf != nil {
-			p := d.Fresh.Perf
-			steps = fmt.Sprintf("%d", p.Steps)
-			deliveries = fmt.Sprintf("%d", p.Deliveries)
-			ratio = fmt.Sprintf("%d.%03d", p.DeliveriesPerStepMilli/1000, p.DeliveriesPerStepMilli%1000)
-			if p.WallMS > 0 {
-				freshMS = fmt.Sprintf("%.1f", p.WallMS)
-			}
-		}
-		if d.Base != nil && d.Base.Perf != nil && d.Base.Perf.WallMS > 0 {
-			baseMS = fmt.Sprintf("%.1f", d.Base.Perf.WallMS)
-		}
-		status := "ok"
-		switch {
-		case d.MissingBaseline:
-			status = "NO BASELINE"
-		case d.WallViolation && len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d) + WALL", len(d.Drifts))
-		case d.WallViolation:
-			status = "WALL EXCEEDED"
-		case len(d.Drifts) > 0:
-			status = fmt.Sprintf("DRIFT (%d)", len(d.Drifts))
-		}
-		fmt.Fprintf(&b, "%-22s %12s %14s %10s %12s %12s  %s\n",
-			d.Name, steps, deliveries, ratio, baseMS, freshMS, status)
-	}
-	return b.String()
 }

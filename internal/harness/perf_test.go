@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,7 +10,12 @@ import (
 
 func smokeCase(t *testing.T) PerfCase {
 	t.Helper()
-	cases := PerfCasesForTier("smoke")
+	var cases []PerfCase
+	for _, c := range PerfCases {
+		if c.Tier == "smoke" {
+			cases = append(cases, c)
+		}
+	}
 	if len(cases) != 1 {
 		t.Fatalf("smoke tier has %d cases, want 1", len(cases))
 	}
@@ -67,85 +71,6 @@ func TestRunPerfCaseShape(t *testing.T) {
 	}
 	if man.Counters["dist_checksum"] <= 0 {
 		t.Error("distance checksum empty")
-	}
-}
-
-// TestComparePerfGate: identical manifests pass; a counter drift or a
-// seeded slowdown past the wall band fails; a missing baseline fails.
-func TestComparePerfGate(t *testing.T) {
-	c := smokeCase(t)
-	base, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Generous wall band: two back-to-back runs of the same workload
-	// must gate clean.
-	if d := ComparePerf(c.Name, base, fresh, PerfTolerance{Wall: 10}); !d.OK() {
-		t.Errorf("identical-workload gate failed: drifts=%v wall=%v", d.Drifts, d.WallViolation)
-	}
-
-	// Counter drift: corrupt a seed-determined total.
-	bad, err := RunPerfCase(c, PerfOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Perf.Deliveries += 999
-	bad.Stats.Deliveries += 999
-	if d := ComparePerf(c.Name, base, bad, PerfTolerance{Wall: 10}); d.OK() {
-		t.Error("gate accepted corrupted delivery totals")
-	}
-
-	// Seeded slowdown: the wall band must trip even though every
-	// counter still matches.
-	slow, err := RunPerfCase(c, PerfOptions{SlowdownMS: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := ComparePerf(c.Name, base, slow, PerfTolerance{Wall: 0.5})
-	if !d.WallViolation {
-		t.Errorf("300ms seeded slowdown passed the 1.5x wall band (base %.1fms, slow %.1fms)",
-			base.Perf.WallMS, slow.Perf.WallMS)
-	}
-	if len(d.Drifts) != 0 {
-		t.Errorf("slowdown changed counter-derived fields: %v", d.Drifts)
-	}
-
-	if d := ComparePerf(c.Name, nil, fresh, PerfTolerance{}); d.OK() || !d.MissingBaseline {
-		t.Error("missing baseline not reported")
-	}
-
-	// Deterministic baselines carry no wall data: the band is vacuous,
-	// counters still gate.
-	detBase, err := RunPerfCase(c, PerfOptions{Deterministic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := ComparePerf(c.Name, detBase, slow, PerfTolerance{Wall: 0.1}); d.WallViolation {
-		t.Error("wall band applied against a deterministic (wall-less) baseline")
-	}
-}
-
-// TestRenderPerfTrend: the table renders one row per delta and flags
-// failures.
-func TestRenderPerfTrend(t *testing.T) {
-	c := smokeCase(t)
-	man, err := RunPerfCase(c, PerfOptions{Deterministic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := ComparePerf(c.Name, man, man, PerfTolerance{})
-	missing := ComparePerf("ghost_case", nil, man, PerfTolerance{})
-	out := RenderPerfTrend([]*PerfDelta{ok, missing})
-	if !strings.Contains(out, c.Name) || !strings.Contains(out, "ok") {
-		t.Errorf("trend table missing passing row:\n%s", out)
-	}
-	if !strings.Contains(out, "NO BASELINE") {
-		t.Errorf("trend table missing baseline flag:\n%s", out)
 	}
 }
 

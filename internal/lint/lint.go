@@ -30,7 +30,7 @@ var Scopes = map[string][]string{
 		"repro/internal/congest",
 		"repro/internal/harness",
 		// Serializes manifests, provenance logs, and regression diffs —
-		// map-order nondeterminism there breaks replay and the regress gate.
+		// map-order nondeterminism there breaks replay and the baseline gate.
 		"repro/internal/telemetry",
 		// Prometheus text exposition is order-sensitive: families and
 		// series must render in sorted order for scrapes to be diffable

@@ -11,7 +11,7 @@ import (
 // rand.Intn, rand.Float64, rand.Seed, rand.Shuffle and friends. Global
 // generator state is shared across the whole process and its sequence
 // depends on call interleaving, so any draw from it poisons the
-// (seed → bit-identical run) guarantee the replay and regress gates —
+// (seed → bit-identical run) guarantee the replay and baseline gates —
 // and the fault-injection manifests — rely on. Explicit sources
 // (rand.New(rand.NewSource(seed)) and methods on the resulting
 // *rand.Rand) are fine; internal/faults' named splitmix64 streams are

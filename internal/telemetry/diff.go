@@ -6,9 +6,9 @@ import (
 	"sort"
 )
 
-// Manifest regression diffing: `spaabench regress` re-runs the workload a
-// committed BENCH_*.json baseline describes and compares the fresh
-// manifest against it field by field. Every quantity in a manifest except
+// Manifest regression diffing: `spaabench gate` re-runs the workload of
+// every committed BENCH_*.json baseline and compares the fresh manifest
+// against it field by field. Every quantity in a manifest except
 // created_unix_ms and wall_ms is a deterministic model cost, so the
 // default tolerance is zero — any drift is a behavior change.
 
@@ -64,8 +64,8 @@ func (d Drift) String() string {
 //     fields only — steps, spikes, deliveries, queue high-water under
 //     the tolerance, deliveries/step exactly. Wall-derived perf fields
 //     (rates, phase times, alloc/GC deltas) are machine noise and are
-//     never compared here; harness.ComparePerf applies its separate
-//     wall band to them,
+//     never compared here; `spaabench gate` applies its separate
+//     wall band to the perf section's total,
 //   - energy (when both sides carry the section): event totals, classic
 //     op count and totals under the tolerance; tariff figures
 //     (classic_op_millipj, per-platform delivery_millipj) exactly —
